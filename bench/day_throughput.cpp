@@ -24,7 +24,6 @@
 
 #include "bench_common.h"
 #include "core/scenario_presets.h"
-#include "flow/fluid_network.h"
 #include "core/schemes.h"
 #include "sim/random.h"
 #include "util/json_writer.h"
@@ -138,12 +137,8 @@ int main(int argc, char** argv) {
   bench::banner("BENCH day_throughput",
                 "paired no-sleep + BH2 day wall-clock across presets");
   const core::SchemeSpec& scheme = bench::scheme_or("bh2-kswitch");
-  // Honour INSOMNIA_FLOW_ENGINE (scripts/perfbench.sh --engine) and record
-  // which fluid engine produced the numbers — reference/incremental
-  // snapshots are not comparable to each other.
-  const char* engine = flow::engine_kind_name(flow::engine_from_env());
   std::cout << runs << " paired day(s) per preset (no-sleep + " << scheme.display
-            << "), single worker, " << engine << " fluid engine\n\n";
+            << "), single worker\n\n";
 
   const std::uint64_t seed = 42;
   std::vector<PresetResult> results;
@@ -185,7 +180,6 @@ int main(int argc, char** argv) {
   util::JsonWriter json;
   json.begin_object();
   json.field("benchmark", "day_throughput");
-  json.field("engine", engine);
   // The harness is single-threaded by design (see header comment); recorded
   // so snapshot consumers never have to guess.
   json.field("threads", 1);

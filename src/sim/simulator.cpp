@@ -41,13 +41,6 @@ EventId Simulator::after(double delay, std::function<void()> action) {
   return queue_.schedule(now_ + delay, std::move(action));
 }
 
-bool Simulator::flush_if_pending() {
-  if (!flush_pending_ || hook_ == nullptr) return false;
-  flush_pending_ = false;
-  hook_->flush();
-  return true;
-}
-
 void Simulator::run_until(double end_time, EventStream* stream) {
   run_loop(end_time, stream, /*gated=*/false);
 }
@@ -69,24 +62,13 @@ bool Simulator::run_loop(double end_time, EventStream* stream, bool gated) {
     const bool stream_first =
         std::isfinite(ts) &&
         (!queued || ts < tq || (ts == tq && stream->next_rank() < queue_.next_sequence()));
-    if (!stream_first && !queued) {
-      if (flush_if_pending()) continue;  // flushed work may queue new events
-      break;
-    }
+    if (!stream_first && !queued) break;
     const double t = stream_first ? ts : tq;
-    if (t > end_time) {
-      if (flush_if_pending()) continue;
-      break;
-    }
-    // The flush barrier: deferred same-instant work must come current before
-    // the clock moves. Flushing may schedule events earlier than t (but
-    // always after now()), so re-evaluate what fires next.
-    if (t > now_ && flush_if_pending()) continue;
+    if (t > end_time) break;
     // The gate sits at the point of no return: everything that would run
-    // before the head (including the flush barrier above) has run, the head
-    // was about to fire. Pausing here leaves the clock at the last
-    // dispatched instant, so a resumed loop continues exactly where an
-    // ungated one would have been.
+    // before the head has run, the head was about to fire. Pausing here
+    // leaves the clock at the last dispatched instant, so a resumed loop
+    // continues exactly where an ungated one would have been.
     if (gated && stream_first && !stream->ready()) {
       record_executed_delta(executed_ - executed_before);
       return false;
@@ -109,14 +91,8 @@ bool Simulator::run_loop(double end_time, EventStream* stream, bool gated) {
 void Simulator::run_to_completion() {
   OBS_SCOPE("sim.run_to_completion");
   const std::uint64_t executed_before = executed_;
-  while (true) {
-    if (queue_.empty()) {
-      if (flush_if_pending()) continue;
-      break;
-    }
-    const double t = queue_.next_time();
-    if (t > now_ && flush_if_pending()) continue;
-    now_ = t;
+  while (!queue_.empty()) {
+    now_ = queue_.next_time();
     queue_.run_next();
     ++executed_;
   }

@@ -39,23 +39,6 @@ class EventStream {
   virtual bool ready() const { return true; }
 };
 
-/// A deferred-work barrier. A component that batches same-instant work (the
-/// incremental flow engine coalesces a burst of arrivals into one
-/// reallocation pass) registers a hook and calls request_flush() after
-/// deferring; the run loop invokes flush() before the clock moves past the
-/// current instant, so deferred work can still schedule events at future
-/// times without ever being observed late. flush() runs at the instant the
-/// work was deferred — deferral is invisible to any event or query.
-class FlushHook {
- public:
-  virtual ~FlushHook() = default;
-
-  /// Brings all deferred work current. Called with now() unchanged since the
-  /// last request_flush(); must leave nothing deferred (it is not re-entered
-  /// for work it performs itself, unless request_flush is called again).
-  virtual void flush() = 0;
-};
-
 /// Discrete-event simulator clock and scheduler.
 ///
 /// Time is in seconds and only moves forward. Callbacks receive no
@@ -108,17 +91,6 @@ class Simulator {
   /// Runs all remaining events (use only when the event set is finite).
   void run_to_completion();
 
-  /// Registers (or clears, with nullptr) the deferred-work barrier. At most
-  /// one hook at a time; the owner must clear it before being destroyed.
-  void set_flush_hook(FlushHook* hook) { hook_ = hook; }
-
-  const FlushHook* flush_hook() const { return hook_; }
-
-  /// Asks the run loop to call the hook's flush() before the clock next
-  /// moves past the current instant (and before run_until/run_to_completion
-  /// return). Cheap and idempotent.
-  void request_flush() { flush_pending_ = true; }
-
   /// Number of events executed so far.
   std::uint64_t executed_events() const { return executed_; }
 
@@ -126,18 +98,12 @@ class Simulator {
   std::size_t pending_events() const { return queue_.size(); }
 
  private:
-  /// Runs the hook's flush() if one is pending; returns true if it ran (the
-  /// run loop must then re-evaluate what fires next).
-  bool flush_if_pending();
-
   /// Shared body of run_until / run_until_gated (see the latter's contract).
   bool run_loop(double end_time, EventStream* stream, bool gated);
 
   EventQueue queue_;
   double now_;
   std::uint64_t executed_ = 0;
-  FlushHook* hook_ = nullptr;
-  bool flush_pending_ = false;
 };
 
 }  // namespace insomnia::sim

@@ -11,26 +11,20 @@
 namespace insomnia::flow {
 namespace {
 
-// Every behavioural test runs against both engines: the reference twin and
-// the incremental default must be observationally interchangeable (the
-// differential harness in test_flow_differential.cpp additionally checks
-// bit-identity between them on randomized scenarios).
-class FluidNetworkTest : public ::testing::TestWithParam<EngineKind> {};
-
 struct Harness {
   sim::Simulator sim;
   std::unique_ptr<FluidNetwork> owned;
   FluidNetwork& net;
   std::map<FlowId, CompletedFlow> done;
 
-  Harness(EngineKind kind, std::vector<double> backhaul)
-      : owned(make_fluid_network(sim, std::move(backhaul), kind)), net(*owned) {
+  explicit Harness(std::vector<double> backhaul)
+      : owned(make_fluid_network(sim, std::move(backhaul))), net(*owned) {
     net.set_completion_handler([this](const CompletedFlow& f) { done[f.id] = f; });
   }
 };
 
-TEST_P(FluidNetworkTest, SingleFlowExactCompletionTime) {
-  Harness h(GetParam(), {1e6});  // 1 Mbps
+TEST(FluidNetworkTest, SingleFlowExactCompletionTime) {
+  Harness h({1e6});  // 1 Mbps
   h.net.set_gateway_serving(0, true);
   // 1 Mbit = 125000 bytes at 1 Mbps -> exactly 1 s.
   h.net.add_flow(1, 0, 0, 125000.0, 1e9);
@@ -39,8 +33,8 @@ TEST_P(FluidNetworkTest, SingleFlowExactCompletionTime) {
   EXPECT_NEAR(h.done[1].duration(), 1.0, 1e-9);
 }
 
-TEST_P(FluidNetworkTest, WirelessCapLimitsRate) {
-  Harness h(GetParam(), {1e6});
+TEST(FluidNetworkTest, WirelessCapLimitsRate) {
+  Harness h({1e6});
   h.net.set_gateway_serving(0, true);
   // Cap at 0.5 Mbps: the 1 Mbit flow takes 2 s.
   h.net.add_flow(1, 0, 0, 125000.0, 0.5e6);
@@ -48,8 +42,8 @@ TEST_P(FluidNetworkTest, WirelessCapLimitsRate) {
   EXPECT_NEAR(h.done[1].duration(), 2.0, 1e-9);
 }
 
-TEST_P(FluidNetworkTest, TwoFlowsShareFairly) {
-  Harness h(GetParam(), {1e6});
+TEST(FluidNetworkTest, TwoFlowsShareFairly) {
+  Harness h({1e6});
   h.net.set_gateway_serving(0, true);
   h.net.add_flow(1, 0, 0, 125000.0, 1e9);
   h.net.add_flow(2, 1, 0, 125000.0, 1e9);
@@ -59,8 +53,8 @@ TEST_P(FluidNetworkTest, TwoFlowsShareFairly) {
   EXPECT_NEAR(h.done[2].completion_time, 2.0, 1e-9);
 }
 
-TEST_P(FluidNetworkTest, ShortFlowLeavesLongFlowSpeedsUp) {
-  Harness h(GetParam(), {1e6});
+TEST(FluidNetworkTest, ShortFlowLeavesLongFlowSpeedsUp) {
+  Harness h({1e6});
   h.net.set_gateway_serving(0, true);
   h.net.add_flow(1, 0, 0, 125000.0, 1e9);  // 1 Mbit
   h.net.add_flow(2, 1, 0, 62500.0, 1e9);   // 0.5 Mbit
@@ -71,8 +65,8 @@ TEST_P(FluidNetworkTest, ShortFlowLeavesLongFlowSpeedsUp) {
   EXPECT_NEAR(h.done[1].completion_time, 1.5, 1e-9);
 }
 
-TEST_P(FluidNetworkTest, NotServingStallsFlows) {
-  Harness h(GetParam(), {1e6});
+TEST(FluidNetworkTest, NotServingStallsFlows) {
+  Harness h({1e6});
   h.net.add_flow(1, 0, 0, 125000.0, 1e9);  // gateway not serving
   h.sim.run_until(5.0);
   EXPECT_TRUE(h.done.empty());
@@ -82,8 +76,8 @@ TEST_P(FluidNetworkTest, NotServingStallsFlows) {
   EXPECT_NEAR(h.done[1].duration(), 6.0, 1e-9);  // stall included in FCT
 }
 
-TEST_P(FluidNetworkTest, MidFlightSuspendResume) {
-  Harness h(GetParam(), {1e6});
+TEST(FluidNetworkTest, MidFlightSuspendResume) {
+  Harness h({1e6});
   h.net.set_gateway_serving(0, true);
   h.net.add_flow(1, 0, 0, 250000.0, 1e9);  // 2 Mbit -> 2 s of service
   h.sim.at(1.0, [&h] { h.net.set_gateway_serving(0, false); });
@@ -92,15 +86,15 @@ TEST_P(FluidNetworkTest, MidFlightSuspendResume) {
   EXPECT_NEAR(h.done[1].completion_time, 5.0, 1e-9);  // 1s + 3s stall + 1s
 }
 
-TEST_P(FluidNetworkTest, ZeroByteFlowCompletesImmediately) {
-  Harness h(GetParam(), {1e6});
+TEST(FluidNetworkTest, ZeroByteFlowCompletesImmediately) {
+  Harness h({1e6});
   h.net.add_flow(1, 0, 0, 0.0, 1e9);
   ASSERT_TRUE(h.done.count(1) != 0);
   EXPECT_DOUBLE_EQ(h.done[1].duration(), 0.0);
 }
 
-TEST_P(FluidNetworkTest, MigrationMovesRemainingBits) {
-  Harness h(GetParam(), {1e6, 2e6});
+TEST(FluidNetworkTest, MigrationMovesRemainingBits) {
+  Harness h({1e6, 2e6});
   h.net.set_gateway_serving(0, true);
   h.net.set_gateway_serving(1, true);
   h.net.add_flow(1, 0, 0, 250000.0, 1e9);  // 2 Mbit on 1 Mbps
@@ -111,8 +105,8 @@ TEST_P(FluidNetworkTest, MigrationMovesRemainingBits) {
   EXPECT_EQ(h.done[1].gateway, 1);
 }
 
-TEST_P(FluidNetworkTest, MigrateUnknownOrDoneFlowIsNoOp) {
-  Harness h(GetParam(), {1e6});
+TEST(FluidNetworkTest, MigrateUnknownOrDoneFlowIsNoOp) {
+  Harness h({1e6});
   h.net.set_gateway_serving(0, true);
   EXPECT_NO_THROW(h.net.migrate_flow(77, 0, 1e6));
   h.net.add_flow(1, 0, 0, 1000.0, 1e9);
@@ -120,8 +114,8 @@ TEST_P(FluidNetworkTest, MigrateUnknownOrDoneFlowIsNoOp) {
   EXPECT_NO_THROW(h.net.migrate_flow(1, 0, 1e6));
 }
 
-TEST_P(FluidNetworkTest, ThroughputAndCounts) {
-  Harness h(GetParam(), {2e6});
+TEST(FluidNetworkTest, ThroughputAndCounts) {
+  Harness h({2e6});
   h.net.set_gateway_serving(0, true);
   EXPECT_EQ(h.net.active_flow_count(0), 0);
   h.net.add_flow(1, 0, 0, 1e9, 1e9);
@@ -132,8 +126,8 @@ TEST_P(FluidNetworkTest, ThroughputAndCounts) {
   EXPECT_EQ(h.net.total_active_flows(), 2);
 }
 
-TEST_P(FluidNetworkTest, ServedBitsIntegrate) {
-  Harness h(GetParam(), {1e6});
+TEST(FluidNetworkTest, ServedBitsIntegrate) {
+  Harness h({1e6});
   h.net.set_gateway_serving(0, true);
   h.net.add_flow(1, 0, 0, 125000.0, 1e9);  // 1 Mbit over 1 s
   h.sim.run_until(4.0);
@@ -141,8 +135,8 @@ TEST_P(FluidNetworkTest, ServedBitsIntegrate) {
   EXPECT_NEAR(h.net.served_bits(0, 0.0, 0.5), 0.5e6, 1.0);
 }
 
-TEST_P(FluidNetworkTest, LoadOverTrailingWindow) {
-  Harness h(GetParam(), {1e6});
+TEST(FluidNetworkTest, LoadOverTrailingWindow) {
+  Harness h({1e6});
   h.net.set_gateway_serving(0, true);
   h.net.add_flow(1, 0, 0, 125000.0, 1e9);
   h.sim.run_until(2.0);
@@ -152,8 +146,8 @@ TEST_P(FluidNetworkTest, LoadOverTrailingWindow) {
   EXPECT_NEAR(h.net.load(0, 10.0), 0.0, 1e-9);
 }
 
-TEST_P(FluidNetworkTest, LastActivityTracksArrivalsAndService) {
-  Harness h(GetParam(), {1e6});
+TEST(FluidNetworkTest, LastActivityTracksArrivalsAndService) {
+  Harness h({1e6});
   h.net.set_gateway_serving(0, true);
   EXPECT_DOUBLE_EQ(h.net.last_activity(0), 0.0);
   h.sim.at(3.0, [&h] { h.net.add_flow(1, 0, 0, 125000.0, 1e9); });
@@ -162,24 +156,24 @@ TEST_P(FluidNetworkTest, LastActivityTracksArrivalsAndService) {
   EXPECT_NEAR(h.net.last_activity(0), 4.0, 1e-9);
 }
 
-TEST_P(FluidNetworkTest, DuplicateFlowIdRejected) {
-  Harness h(GetParam(), {1e6});
+TEST(FluidNetworkTest, DuplicateFlowIdRejected) {
+  Harness h({1e6});
   h.net.set_gateway_serving(0, true);
   h.net.add_flow(1, 0, 0, 1e6, 1e9);
   EXPECT_THROW(h.net.add_flow(1, 0, 0, 1e6, 1e9), util::InvalidArgument);
 }
 
-TEST_P(FluidNetworkTest, ValidatesConstruction) {
+TEST(FluidNetworkTest, ValidatesConstruction) {
   sim::Simulator sim;
-  EXPECT_THROW(make_fluid_network(sim, {}, GetParam()), util::InvalidArgument);
-  EXPECT_THROW(make_fluid_network(sim, {0.0}, GetParam()), util::InvalidArgument);
+  EXPECT_THROW(make_fluid_network(sim, {}), util::InvalidArgument);
+  EXPECT_THROW(make_fluid_network(sim, {0.0}), util::InvalidArgument);
 }
 
-TEST_P(FluidNetworkTest, SparseLargeFlowIdDoesNotBlowUpTheIdMap) {
+TEST(FluidNetworkTest, SparseLargeFlowIdDoesNotBlowUpTheIdMap) {
   // A trace-supplied id far beyond the number of flows ever added must be
   // valid — and must not make the dense id vector allocate gigabytes. The
   // outlier goes to the overflow map; behaviour stays identical.
-  Harness h(GetParam(), {1e6});
+  Harness h({1e6});
   h.net.set_gateway_serving(0, true);
   const FlowId huge = 1'000'000'000'000ull;  // ~8 TB as a dense vector
   h.net.add_flow(huge, 0, 0, 125000.0, 1e9);
@@ -195,12 +189,12 @@ TEST_P(FluidNetworkTest, SparseLargeFlowIdDoesNotBlowUpTheIdMap) {
   EXPECT_EQ(h.net.total_active_flows(), 0);
 }
 
-TEST_P(FluidNetworkTest, OverflowIdSurvivesLaterDenseGrowthPastIt) {
+TEST(FluidNetworkTest, OverflowIdSurvivesLaterDenseGrowthPastIt) {
   // Regression: an id stored in the overflow map while it was an outlier
   // must stay visible after the dense vector later grows past it —
   // otherwise the flow goes invisible (migrate no-ops, duplicate check
   // passes) the moment enough dense flows arrive.
-  Harness h(GetParam(), {1e9});
+  Harness h({1e9});
   h.net.set_gateway_serving(0, true);
   const FlowId outlier = 5000;  // above the fresh network's dense ceiling
   h.net.add_flow(outlier, 0, 0, 1e9, 1e3);  // slow: stays live throughout
@@ -218,8 +212,8 @@ TEST_P(FluidNetworkTest, OverflowIdSurvivesLaterDenseGrowthPastIt) {
   EXPECT_EQ(h.net.total_active_flows(), 0);
 }
 
-TEST_P(FluidNetworkTest, SparseLargeIdMigratesAndCancels) {
-  Harness h(GetParam(), {1e6, 1e6});
+TEST(FluidNetworkTest, SparseLargeIdMigratesAndCancels) {
+  Harness h({1e6, 1e6});
   h.net.set_gateway_serving(0, true);
   h.net.set_gateway_serving(1, true);
   const FlowId huge = (1ull << 52) + 7;
@@ -231,8 +225,8 @@ TEST_P(FluidNetworkTest, SparseLargeIdMigratesAndCancels) {
   EXPECT_NO_THROW(h.net.migrate_flow(huge, 0, 1e9));  // done: no-op
 }
 
-TEST_P(FluidNetworkTest, ManyFlowsDrainCompletely) {
-  Harness h(GetParam(), {6e6});
+TEST(FluidNetworkTest, ManyFlowsDrainCompletely) {
+  Harness h({6e6});
   h.net.set_gateway_serving(0, true);
   for (FlowId id = 0; id < 200; ++id) {
     h.sim.at(static_cast<double>(id) * 0.01, [&h, id] {
@@ -244,11 +238,11 @@ TEST_P(FluidNetworkTest, ManyFlowsDrainCompletely) {
   EXPECT_EQ(h.net.total_active_flows(), 0);
 }
 
-TEST_P(FluidNetworkTest, SameInstantArrivalBurstSettlesOnce) {
-  // Several arrivals at the same instant: the incremental engine coalesces
-  // them into one water-fill, which must be indistinguishable from the
-  // reference's per-arrival reallocation.
-  Harness h(GetParam(), {4e6});
+TEST(FluidNetworkTest, SameInstantArrivalBurstSettlesOnce) {
+  // Several arrivals at the same instant: each re-water-fills the gateway,
+  // and the rates settled after the burst must be the fair shares of all
+  // four.
+  Harness h({4e6});
   h.net.set_gateway_serving(0, true);
   h.sim.at(1.0, [&h] {
     for (FlowId id = 0; id < 4; ++id) {
@@ -265,17 +259,6 @@ TEST_P(FluidNetworkTest, SameInstantArrivalBurstSettlesOnce) {
     EXPECT_NEAR(h.done[id].completion_time, 2.0, 1e-9);
   }
 }
-
-TEST_P(FluidNetworkTest, EngineNameMatchesKind) {
-  Harness h(GetParam(), {1e6});
-  EXPECT_STREQ(h.net.engine_name(), engine_kind_name(GetParam()));
-}
-
-INSTANTIATE_TEST_SUITE_P(BothEngines, FluidNetworkTest,
-                         ::testing::Values(EngineKind::kReference, EngineKind::kIncremental),
-                         [](const ::testing::TestParamInfo<EngineKind>& info) {
-                           return std::string(engine_kind_name(info.param));
-                         });
 
 }  // namespace
 }  // namespace insomnia::flow

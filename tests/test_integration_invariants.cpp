@@ -21,21 +21,11 @@
 namespace insomnia {
 namespace {
 
-// Conservation must hold on both fluid engines.
-class Conservation : public ::testing::TestWithParam<flow::EngineKind> {};
-
-INSTANTIATE_TEST_SUITE_P(BothEngines, Conservation,
-                         ::testing::Values(flow::EngineKind::kReference,
-                                           flow::EngineKind::kIncremental),
-                         [](const ::testing::TestParamInfo<flow::EngineKind>& info) {
-                           return std::string(flow::engine_kind_name(info.param));
-                         });
-
-TEST_P(Conservation, ServedBitsEqualOfferedBits) {
+TEST(Conservation, ServedBitsEqualOfferedBits) {
   // Under no-sleep every byte of the trace is eventually served; the
   // gateway service-rate integrals must account for all of it exactly.
   sim::Simulator sim;
-  const auto owned = flow::make_fluid_network(sim, {6e6, 6e6, 6e6}, GetParam());
+  const auto owned = flow::make_fluid_network(sim, {6e6, 6e6, 6e6});
   flow::FluidNetwork& net = *owned;
   for (int g = 0; g < 3; ++g) net.set_gateway_serving(g, true);
   sim::Random rng(5);
@@ -55,9 +45,9 @@ TEST_P(Conservation, ServedBitsEqualOfferedBits) {
   EXPECT_NEAR(served, offered_bits, offered_bits * 1e-9 + 1.0);
 }
 
-TEST_P(Conservation, StallingDoesNotLoseBits) {
+TEST(Conservation, StallingDoesNotLoseBits) {
   sim::Simulator sim;
-  const auto owned = flow::make_fluid_network(sim, {1e6}, GetParam());
+  const auto owned = flow::make_fluid_network(sim, {1e6});
   flow::FluidNetwork& net = *owned;
   net.set_gateway_serving(0, true);
   net.add_flow(1, 0, 0, 1e6, 1e9);  // 8 Mbit -> 8 s of service

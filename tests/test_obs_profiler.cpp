@@ -3,6 +3,7 @@
 // measuring for the perf harness, and trace events appear only when tracing
 // is armed.
 #include <cstddef>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -15,12 +16,14 @@
 namespace insomnia::obs {
 namespace {
 
-const PhaseTotal* find_phase(const std::vector<PhaseTotal>& phases,
-                             const std::string& name) {
+// Returns a copy, never a pointer: callers pass the phase_totals()
+// temporary straight in, which dies at the end of the full expression.
+std::optional<PhaseTotal> find_phase(const std::vector<PhaseTotal>& phases,
+                                     const std::string& name) {
   for (const PhaseTotal& phase : phases) {
-    if (phase.name == name) return &phase;
+    if (phase.name == name) return phase;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 class ObsProfilerTest : public ::testing::Test {
@@ -43,8 +46,8 @@ TEST_F(ObsProfilerTest, ScopeRecordsPhaseTotal) {
     OBS_SCOPE("test.phase.a");
   }
   const auto phases = phase_totals();
-  const PhaseTotal* a = find_phase(phases, "test.phase.a");
-  ASSERT_NE(a, nullptr);
+  const std::optional<PhaseTotal> a = find_phase(phases, "test.phase.a");
+  ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->count, 2u);
 }
 
@@ -66,8 +69,8 @@ TEST_F(ObsProfilerTest, StopIsIdempotent) {
   const std::uint64_t first = timer.stop();
   const std::uint64_t second = timer.stop();
   EXPECT_EQ(first, second);
-  const PhaseTotal* phase = find_phase(phase_totals(), "test.stop");
-  ASSERT_NE(phase, nullptr);
+  const std::optional<PhaseTotal> phase = find_phase(phase_totals(), "test.stop");
+  ASSERT_TRUE(phase.has_value());
   EXPECT_EQ(phase->count, 1u);  // recorded once, not per stop() call
 }
 
@@ -79,8 +82,8 @@ TEST_F(ObsProfilerTest, DisabledScopeRecordsNothing) {
   ScopeTimer timer("test.disabled.timer");
   EXPECT_EQ(timer.stop(), 0u);
   set_enabled(true);
-  EXPECT_EQ(find_phase(phase_totals(), "test.disabled"), nullptr);
-  EXPECT_EQ(find_phase(phase_totals(), "test.disabled.timer"), nullptr);
+  EXPECT_FALSE(find_phase(phase_totals(), "test.disabled").has_value());
+  EXPECT_FALSE(find_phase(phase_totals(), "test.disabled.timer").has_value());
 }
 
 TEST_F(ObsProfilerTest, ForcedTimerMeasuresWhileDisabled) {
@@ -93,7 +96,7 @@ TEST_F(ObsProfilerTest, ForcedTimerMeasuresWhileDisabled) {
   set_enabled(true);
   EXPECT_GT(ns, 0u);
   // Measured but not recorded: the phase table must stay clean.
-  EXPECT_EQ(find_phase(phase_totals(), "test.forced"), nullptr);
+  EXPECT_FALSE(find_phase(phase_totals(), "test.forced").has_value());
 }
 
 TEST_F(ObsProfilerTest, WorkerThreadsRegisterNamedTracks) {
@@ -146,8 +149,8 @@ TEST_F(ObsProfilerTest, PhaseTotalsFoldAcrossThreads) {
     OBS_SCOPE("test.fold.shard");
     return i;
   });
-  const PhaseTotal* phase = find_phase(phase_totals(), "test.fold.shard");
-  ASSERT_NE(phase, nullptr);
+  const std::optional<PhaseTotal> phase = find_phase(phase_totals(), "test.fold.shard");
+  ASSERT_TRUE(phase.has_value());
   EXPECT_EQ(phase->count, 16u);
 }
 
