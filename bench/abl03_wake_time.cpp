@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
       sim::Random trace_rng(100 + run);
       const auto flows =
           trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
+      // Simulated, not no_sleep_day: the stall count reads its FCTs.
       const RunMetrics nosleep =
           run_scheme(scenario, topology, flows, SchemeKind::kNoSleep, 1);
       const RunMetrics soi = run_scheme(scenario, topology, flows, SchemeKind::kSoi,

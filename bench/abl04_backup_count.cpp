@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
       sim::Random trace_rng(100 + run);
       const auto flows =
           trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
-      const RunMetrics nosleep =
-          run_scheme(scenario, topology, flows, SchemeKind::kNoSleep, 1);
+      const RunMetrics nosleep = no_sleep_day(scenario, topology, scenario.duration, 1);
       const RunMetrics soi = run_scheme(scenario, topology, flows, SchemeKind::kSoi,
                                         50 + run);
       const RunMetrics bh2 = run_scheme(scenario, topology, flows, scheme, 60 + run);

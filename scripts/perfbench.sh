@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Repeatable single-machine perf baseline: builds Release and runs the
-# bench/day_throughput harness (paired no-sleep + BH2 days across the four
-# scenario presets), leaving BENCH_day_throughput.json at the repo root.
+# bench/day_throughput harness (paired days as core::Engine runs them —
+# BH2 simulated plus the trace-free no-sleep baseline — across the scenario
+# presets), leaving BENCH_day_throughput.json at the repo root.
 # The JSON is this repo's tracked perf trajectory — compare events_per_sec
 # across commits measured on the same machine.
 #

@@ -19,7 +19,7 @@ namespace {
 // Substream salts claimed by the runner; the sampler owns salt 11.
 constexpr std::uint64_t kTopologySalt = 12;
 constexpr std::uint64_t kTraceSalt = 13;
-constexpr std::uint64_t kBaselineSalt = 14;
+constexpr std::uint64_t kBaselineWiringSalt = 14;  // the no-sleep day's HDF wiring
 constexpr std::uint64_t kSchemeSalt = 15;
 
 // Feeds the fleet heartbeat and the telemetry block: neighbourhoods done,
@@ -62,10 +62,11 @@ NeighbourhoodOutcome simulate_neighbourhood(const CityConfig& config,
   const trace::FlowTrace flows =
       trace::SyntheticCrawdadGenerator(scenario.traffic).generate(trace_rng);
 
-  // Paired days: same topology and trace under no-sleep and the scheme.
-  const core::RunMetrics baseline =
-      core::run_scheme(scenario, topology, flows, core::find_scheme("no-sleep"),
-                       sim::Random::substream_seed(config.seed, index, kBaselineSalt));
+  // Paired day: the scheme replays the trace; the no-sleep baseline draws a
+  // constant and needs none of it.
+  const core::RunMetrics baseline = core::no_sleep_day(
+      scenario, topology, scenario.duration,
+      sim::Random::substream_seed(config.seed, index, kBaselineWiringSalt));
   const core::RunMetrics scheme =
       core::run_scheme(scenario, topology, flows, core::find_scheme(config.scheme),
                        sim::Random::substream_seed(config.seed, index, kSchemeSalt));

@@ -8,13 +8,9 @@ namespace {
 
 /// Exact per-bin total (user + ISP) energy integrals of one run.
 std::vector<double> bin_total_energy(const RunMetrics& metrics, std::size_t bins) {
+  const BinnedEnergy energy = bin_energy(metrics, bins);
   std::vector<double> out(bins);
-  const double width = metrics.duration / static_cast<double>(bins);
-  for (std::size_t i = 0; i < bins; ++i) {
-    const double lo = width * static_cast<double>(i);
-    const double hi = (i + 1 == bins) ? metrics.duration : lo + width;
-    out[i] = metrics.user_power.integral(lo, hi) + metrics.isp_power.integral(lo, hi);
-  }
+  for (std::size_t i = 0; i < bins; ++i) out[i] = energy.user[i] + energy.isp[i];
   return out;
 }
 

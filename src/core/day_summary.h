@@ -14,8 +14,8 @@
 
 namespace insomnia::core {
 
-/// Everything one paired day (no-sleep baseline + scheme on the same trace)
-/// contributes to a RunReport.
+/// Everything one paired day (no-sleep baseline + scheme day) contributes to
+/// a RunReport.
 struct PairedDaySummary {
   EngineDay day;
   std::vector<double> baseline_energy_bins;  ///< total (user+ISP) J per bin

@@ -30,7 +30,6 @@ RunReport Engine::run(const RunSpec& spec) const {
                 "RunSpec sets both a preset name and an inline scenario");
 
   const SchemeSpec& scheme = registry_->find(spec.scheme);
-  const SchemeSpec& baseline_scheme = registry_->find("no-sleep");
 
   ScenarioConfig scenario;
   std::string preset_name = "(inline)";
@@ -57,7 +56,7 @@ RunReport Engine::run(const RunSpec& spec) const {
   report.gateways = scenario.gateway_count;
 
   // Same derivations as core/experiments: one fixed topology, per-run trace
-  // substreams, fixed baseline/scheme salts.
+  // substreams, fixed baseline-wiring/scheme salts.
   sim::Random topo_rng(sim::Random::substream_seed(spec.seed, 0, 7));
   const topo::AccessTopology topology =
       topo::make_overlap_topology(scenario.client_count, scenario.degrees, topo_rng);
@@ -77,9 +76,10 @@ RunReport Engine::run(const RunSpec& spec) const {
         }
         const trace::FlowTrace& flows = spec.trace_file.empty() ? generated : recorded;
 
+        // Built per task: StepSeries query caches are not thread-safe.
         const RunMetrics baseline =
-            run_scheme(scenario, topology, flows, baseline_scheme,
-                       sim::Random::substream_seed(spec.seed, run, 2));
+            no_sleep_day(scenario, topology, scenario.duration,
+                         sim::Random::substream_seed(spec.seed, run, 2));
         const RunMetrics metrics =
             run_scheme(scenario, topology, flows, scheme,
                        sim::Random::substream_seed(spec.seed, run, 100));

@@ -2,11 +2,12 @@
 // structured RunReport out. One Engine call replaces the scenario-resolve /
 // topology / trace / paired-day / aggregate boilerplate every driver used
 // to hand-roll: it resolves a scenario (preset name or inline config),
-// builds the shared topology, replays `runs` paired days (no-sleep baseline
-// + the named scheme on the same trace), shards them over the parallel
-// sweep engine, and folds the outcomes deterministically (bit-identical for
-// any thread count). RunReport serializes to JSON via util/json_writer for
-// machine consumers (--json in every driver, CI checks, notebooks).
+// builds the shared topology, runs `runs` paired days (the named scheme
+// replaying each day's trace, against the trace-free no-sleep baseline of
+// core::no_sleep_day), shards them over the parallel sweep engine, and
+// folds the outcomes deterministically (bit-identical for any thread
+// count). RunReport serializes to JSON via util/json_writer for machine
+// consumers (--json in every driver, CI checks, notebooks).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,7 @@ struct RunSpec {
   double peak_end = 19.0 * 3600.0;
 };
 
-/// One paired simulated day (baseline + scheme on the same trace).
+/// One paired day (the scheme's simulated day + its no-sleep baseline).
 struct EngineDay {
   double baseline_user_energy = 0.0;  ///< J
   double baseline_isp_energy = 0.0;
@@ -103,9 +104,9 @@ class Engine {
 
   /// Runs the spec. Seeding matches core/experiments' conventions — the
   /// topology comes from substream (seed, 0, 7), run r's trace from
-  /// (seed, r, 1), its baseline from (seed, r, 2) and its scheme day from
-  /// (seed, r, 100) — so a single-scheme Engine run reproduces the main
-  /// experiment's per-run days bit for bit (pinned by
+  /// (seed, r, 1), its baseline's HDF wiring from (seed, r, 2) and its
+  /// scheme day from (seed, r, 100) — so a single-scheme Engine run
+  /// reproduces the main experiment's per-run days bit for bit (pinned by
   /// tests/test_core_engine.cpp).
   RunReport run(const RunSpec& spec) const;
 

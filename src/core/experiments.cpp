@@ -17,26 +17,6 @@ namespace insomnia::core {
 
 namespace {
 
-/// Exact per-bin energy integrals of one run, user and ISP side.
-struct BinnedEnergy {
-  std::vector<double> user;
-  std::vector<double> isp;
-};
-
-BinnedEnergy bin_energy(const RunMetrics& metrics, std::size_t bins) {
-  BinnedEnergy out;
-  out.user.resize(bins);
-  out.isp.resize(bins);
-  const double width = metrics.duration / static_cast<double>(bins);
-  for (std::size_t i = 0; i < bins; ++i) {
-    const double lo = width * static_cast<double>(i);
-    const double hi = (i + 1 == bins) ? metrics.duration : lo + width;
-    out.user[i] = metrics.user_power.integral(lo, hi);
-    out.isp[i] = metrics.isp_power.integral(lo, hi);
-  }
-  return out;
-}
-
 /// Run-summed per-bin energies; merged strictly in run-index order so the
 /// floating-point accumulation matches the historical serial loop bit for
 /// bit regardless of which thread computed each run.
@@ -93,6 +73,7 @@ RunOutput simulate_run(const MainExperimentConfig& config,
   sim::Random trace_rng(sim::Random::substream_seed(config.seed, run, 1));
   const trace::FlowTrace flows = generator.generate(trace_rng);
 
+  // Simulated, not core::no_sleep_day: Fig. 9a reads the baseline's FCTs.
   const RunMetrics baseline =
       run_scheme(config.scenario, topology, flows, baseline_scheme,
                  sim::Random::substream_seed(config.seed, run, 2));

@@ -12,6 +12,20 @@ double power_integral(const RunMetrics& m, double t0, double t1) {
 }
 }  // namespace
 
+BinnedEnergy bin_energy(const RunMetrics& metrics, std::size_t bins) {
+  BinnedEnergy out;
+  out.user.resize(bins);
+  out.isp.resize(bins);
+  const double width = metrics.duration / static_cast<double>(bins);
+  for (std::size_t i = 0; i < bins; ++i) {
+    const double lo = width * static_cast<double>(i);
+    const double hi = (i + 1 == bins) ? metrics.duration : lo + width;
+    out.user[i] = metrics.user_power.integral(lo, hi);
+    out.isp[i] = metrics.isp_power.integral(lo, hi);
+  }
+  return out;
+}
+
 double savings_fraction(const RunMetrics& run, const RunMetrics& baseline, double t0,
                         double t1) {
   const double base = power_integral(baseline, t0, t1);

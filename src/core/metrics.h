@@ -48,6 +48,15 @@ struct RunMetrics {
   double isp_energy() const { return isp_power.integral(0.0, duration); }
 };
 
+/// Exact per-bin energy integrals (J) of one run, user and ISP side: `bins`
+/// equal-width bins spanning [0, duration], the last one ending exactly at
+/// duration.
+struct BinnedEnergy {
+  std::vector<double> user;
+  std::vector<double> isp;
+};
+BinnedEnergy bin_energy(const RunMetrics& metrics, std::size_t bins);
+
 /// Fractional savings of `run` vs `baseline` over [t0, t1].
 double savings_fraction(const RunMetrics& run, const RunMetrics& baseline, double t0, double t1);
 

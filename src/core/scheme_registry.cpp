@@ -141,6 +141,16 @@ RunMetrics run_scheme(const ScenarioConfig& scenario, const topo::AccessTopology
   return run_scheme(scenario, topology, flows, find_scheme(scheme), seed);
 }
 
+RunMetrics no_sleep_day(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
+                        double duration, std::uint64_t seed) {
+  ScenarioConfig configured = scenario;
+  configured.duration = duration;
+  configured.dslam.mode = dslam::SwitchMode::kFixed;
+  const trace::FlowTrace no_flows;
+  NoSleepPolicy policy;
+  return AccessRuntime(configured, topology, no_flows, policy, sim::Random(seed)).run();
+}
+
 RunMetrics run_scheme_with_fabric(const ScenarioConfig& scenario,
                                   const topo::AccessTopology& topology,
                                   const trace::FlowTrace& flows, const SchemeSpec& spec,

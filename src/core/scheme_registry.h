@@ -95,6 +95,18 @@ RunMetrics run_scheme(const ScenarioConfig& scenario, const topo::AccessTopology
                       const trace::FlowTrace& flows, const std::string& scheme,
                       std::uint64_t seed);
 
+/// The no-sleep baseline of a paired day, built without replaying a trace.
+/// Devices draw by power state, not load (power/device_power.h): no-sleep
+/// powers every gateway at t=0 and never changes a state again. This runs
+/// NoSleepPolicy over fixed wiring and an empty trace, so every series comes
+/// from the meters a simulated day fills, bit for bit
+/// (tests/test_core_no_sleep_day.cpp). completion_time is empty and
+/// executed_events is 0: readers of baseline FCTs still simulate.
+/// `duration` is the span covered; `seed` draws the HDF wiring, which picks
+/// the dark cards once a whole card's worth of ports is vacant.
+RunMetrics no_sleep_day(const ScenarioConfig& scenario, const topo::AccessTopology& topology,
+                        double duration, std::uint64_t seed);
+
 /// Runs a scheme's policy over an explicit HDF fabric — the switch-size
 /// ablation's entry point. `switch_size` is only read in kKSwitch mode and
 /// must divide the card count.
