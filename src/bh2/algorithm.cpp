@@ -16,15 +16,16 @@ bool is_valid_target(int gateway, const GatewayObserver& observer, const Bh2Conf
 
 namespace {
 
-/// Collects valid aggregation targets among `reachable`, excluding `skip`.
-std::vector<int> collect_targets(const std::vector<int>& reachable, int skip,
-                                 const GatewayObserver& observer, const Bh2Config& config) {
-  std::vector<int> targets;
+/// Collects valid aggregation targets among `reachable`, excluding `skip`,
+/// into `targets`.
+void collect_targets(const std::vector<int>& reachable, int skip,
+                     const GatewayObserver& observer, const Bh2Config& config,
+                     std::vector<int>& targets) {
+  targets.clear();
   for (int gateway : reachable) {
     if (gateway == skip) continue;
     if (is_valid_target(gateway, observer, config)) targets.push_back(gateway);
   }
-  return targets;
 }
 
 /// Counts the standby gateways available to a terminal currently using
@@ -51,10 +52,10 @@ int standby_count(const std::vector<int>& reachable, int current, int home,
 /// hubs instead of consolidating; squaring restores winner-take-most while
 /// keeping the desynchronising randomness.)
 int pick_proportional(const std::vector<int>& candidates, const GatewayObserver& observer,
-                      const Bh2Config& config, sim::Random& rng) {
+                      const Bh2Config& config, sim::Random& rng,
+                      std::vector<double>& weights) {
   util::require(!candidates.empty(), "cannot pick from zero candidates");
-  std::vector<double> weights;
-  weights.reserve(candidates.size());
+  weights.clear();
   for (int gateway : candidates) {
     const double w = observer.load(gateway) + config.selection_epsilon;
     weights.push_back(w * w);
@@ -66,11 +67,10 @@ int pick_proportional(const std::vector<int>& candidates, const GatewayObserver&
 /// headroom — used when escaping an overloaded gateway, where piling onto
 /// the warmest target would recreate the overload.
 int pick_headroom(const std::vector<int>& candidates, const GatewayObserver& observer,
-                  const Bh2Config& config, sim::Random& rng) {
+                  const Bh2Config& config, sim::Random& rng, std::vector<double>& weights) {
   util::require(!candidates.empty(), "cannot pick from zero candidates");
   const double ceiling = config.high_threshold * config.join_headroom;
-  std::vector<double> weights;
-  weights.reserve(candidates.size());
+  weights.clear();
   for (int gateway : candidates) {
     weights.push_back(std::max(ceiling - observer.load(gateway), 0.0) +
                       config.selection_epsilon);
@@ -82,10 +82,14 @@ int pick_headroom(const std::vector<int>& candidates, const GatewayObserver& obs
 
 Decision decide(int home, const std::vector<int>& reachable, int current,
                 const GatewayObserver& observer, const Bh2Config& config, sim::Random& rng,
-                double own_share) {
+                double own_share, Scratch* scratch) {
   util::require(std::find(reachable.begin(), reachable.end(), current) != reachable.end() ||
                     current == home,
                 "current gateway must be home or reachable");
+  Scratch local;
+  Scratch& buffers = scratch != nullptr ? *scratch : local;
+  std::vector<int>& candidates = buffers.candidates;
+  std::vector<double>& weights = buffers.weights;
 
   if (current == home) {
     // Case 1: connected to the home gateway. If the home is busy enough to
@@ -96,9 +100,9 @@ Decision decide(int home, const std::vector<int>& reachable, int current,
     // Home is idle-ish (a sleep candidate): try to vacate so SoI can fire.
     // The move needs one valid primary target, and enough standby gateways
     // (home itself counts — it can be woken back on demand).
-    const std::vector<int> targets = collect_targets(reachable, home, observer, config);
-    if (!targets.empty()) {
-      const int primary = pick_proportional(targets, observer, config, rng);
+    collect_targets(reachable, home, observer, config, candidates);
+    if (!candidates.empty()) {
+      const int primary = pick_proportional(candidates, observer, config, rng, weights);
       if (standby_count(reachable, primary, home, observer) >= config.backup) {
         return {Action::kMoveTo, primary};
       }
@@ -117,7 +121,8 @@ Decision decide(int home, const std::vector<int>& reachable, int current,
     // §3.1). Any awake, not-yet-full gateway will do as an escape (waking a
     // home would cost more than joining a cold-but-powered neighbour);
     // only when none exists does the user retreat to its home gateway.
-    std::vector<int> escape;
+    std::vector<int>& escape = candidates;
+    escape.clear();
     for (int gateway : reachable) {
       if (gateway == current || !observer.is_awake(gateway)) continue;
       if (observer.load(gateway) < config.high_threshold * config.join_headroom) {
@@ -125,7 +130,7 @@ Decision decide(int home, const std::vector<int>& reachable, int current,
       }
     }
     if (!escape.empty()) {
-      return {Action::kMoveTo, pick_headroom(escape, observer, config, rng)};
+      return {Action::kMoveTo, pick_headroom(escape, observer, config, rng, weights)};
     }
     return {Action::kReturnHome, home};
   }
@@ -138,9 +143,10 @@ Decision decide(int home, const std::vector<int>& reachable, int current,
     // proportional to load. The current gateway is deliberately *not* in
     // the pool — guests must evaporate off cold aggregation points or they
     // linger forever at near-zero load (the whole hub never drains).
-    const std::vector<int> others = collect_targets(reachable, current, observer, config);
+    std::vector<int>& others = candidates;
+    collect_targets(reachable, current, observer, config, others);
     if (!others.empty()) {
-      const int choice = pick_proportional(others, observer, config, rng);
+      const int choice = pick_proportional(others, observer, config, rng, weights);
       if (choice != current) return {Action::kMoveTo, choice};
     }
   }
@@ -149,11 +155,13 @@ Decision decide(int home, const std::vector<int>& reachable, int current,
 
 int reroute_on_wake_needed(int /*home*/, const std::vector<int>& reachable, int current,
                            const GatewayObserver& observer, const Bh2Config& config,
-                           sim::Random& rng) {
+                           sim::Random& rng, Scratch* scratch) {
   if (config.backup <= 0) return -1;  // no standing backup associations
-  const std::vector<int> targets = collect_targets(reachable, current, observer, config);
-  if (targets.empty()) return -1;
-  return pick_proportional(targets, observer, config, rng);
+  Scratch local;
+  Scratch& buffers = scratch != nullptr ? *scratch : local;
+  collect_targets(reachable, current, observer, config, buffers.candidates);
+  if (buffers.candidates.empty()) return -1;
+  return pick_proportional(buffers.candidates, observer, config, rng, buffers.weights);
 }
 
 }  // namespace insomnia::bh2

@@ -71,6 +71,15 @@ struct Decision {
   int target = -1;
 };
 
+/// Reusable working buffers of decide() / reroute_on_wake_needed(). A
+/// caller deciding every epoch passes the same Scratch each time, so a
+/// warmed-up decision allocates nothing; without one, each call uses
+/// temporary buffers.
+struct Scratch {
+  std::vector<int> candidates;
+  std::vector<double> weights;
+};
+
 /// Periodic decision for one terminal (§3.1, both cases).
 ///
 /// `reachable` lists the gateways in range (home included); `current` is
@@ -81,7 +90,7 @@ struct Decision {
 /// terminal's existing flows anyway.
 Decision decide(int home, const std::vector<int>& reachable, int current,
                 const GatewayObserver& observer, const Bh2Config& config, sim::Random& rng,
-                double own_share = 0.0);
+                double own_share = 0.0, Scratch* scratch = nullptr);
 
 /// Event-driven assist: traffic arrived while `current` is asleep. With
 /// backups, the terminal shifts to a valid target without waking anything;
@@ -89,7 +98,7 @@ Decision decide(int home, const std::vector<int>& reachable, int current,
 /// through, or -1 meaning "wake home and wait".
 int reroute_on_wake_needed(int home, const std::vector<int>& reachable, int current,
                            const GatewayObserver& observer, const Bh2Config& config,
-                           sim::Random& rng);
+                           sim::Random& rng, Scratch* scratch = nullptr);
 
 /// True if `gateway` qualifies as an aggregation target for this terminal.
 bool is_valid_target(int gateway, const GatewayObserver& observer, const Bh2Config& config);

@@ -54,8 +54,9 @@ void Bh2Policy::decision_epoch(AccessRuntime& runtime, int client) {
     const auto& reachable = runtime.topology().client_gateways[static_cast<std::size_t>(client)];
     const double own_share = runtime.network().client_throughput_at(client, current) /
                              runtime.scenario().backhaul_bps;
-    const bh2::Decision decision = bh2::decide(home, reachable, current, observer,
-                                               config_for(client), runtime.rng(), own_share);
+    const bh2::Decision decision =
+        bh2::decide(home, reachable, current, observer, config_for(client), runtime.rng(),
+                    own_share, &scratch_);
     apply(runtime, client, decision);
   }
 
@@ -118,7 +119,7 @@ int Bh2Policy::route_flow(AccessRuntime& runtime, int client, double /*bytes*/) 
   RuntimeObserver observer(runtime);
   const auto& reachable = runtime.topology().client_gateways[static_cast<std::size_t>(client)];
   const int target = bh2::reroute_on_wake_needed(home, reachable, current, observer,
-                                                 config_for(client), runtime.rng());
+                                                 config_for(client), runtime.rng(), &scratch_);
   if (target >= 0) {
     if (target != current) runtime.count_bh2_move();
     current = target;

@@ -70,6 +70,7 @@ class Bh2Policy : public Policy {
   std::vector<bh2::Bh2Config> client_config_;  ///< empty unless jittered
   std::vector<int> assignment_;      ///< gateway carrying new traffic
   std::vector<bool> pending_home_;   ///< waiting for home to finish waking
+  bh2::Scratch scratch_;             ///< decision buffers, reused every epoch
 };
 
 }  // namespace insomnia::core

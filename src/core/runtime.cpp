@@ -80,14 +80,6 @@ AccessRuntime::AccessRuntime(const ScenarioConfig& scenario,
   live_last_time_ = -1.0;  // the sorted-times floor read_flow_trace uses
 }
 
-GatewayState AccessRuntime::gateway_state(int gateway) const {
-  return states_.at(static_cast<std::size_t>(gateway));
-}
-
-bool AccessRuntime::gateway_active(int gateway) const {
-  return gateway_state(gateway) == GatewayState::kActive;
-}
-
 int AccessRuntime::online_gateway_count() const {
   int count = 0;
   for (GatewayState s : states_) {
@@ -205,18 +197,30 @@ void AccessRuntime::force_asleep(int gateway) {
 }
 
 void AccessRuntime::arm_idle_check(int gateway) {
-  auto& pending = idle_events_[static_cast<std::size_t>(gateway)];
   const double reference = std::max(network_->last_activity(gateway),
                                     activation_time_[static_cast<std::size_t>(gateway)]);
-  const double when = std::max(reference + scenario_->idle_timeout,
-                               simulator_.now() + 1e-9);
+  set_idle_timer(gateway, std::max(reference + scenario_->idle_timeout,
+                                   simulator_.now() + 1e-9));
+}
+
+void AccessRuntime::set_idle_timer(int gateway, double when) {
+  auto& pending = idle_events_[static_cast<std::size_t>(gateway)];
+  auto fire = [this, gateway] {
+    idle_events_[static_cast<std::size_t>(gateway)] = sim::kInvalidEventId;
+    idle_check(gateway);
+  };
+  if (when == simulator_.now() + scenario_->idle_timeout) {
+    // The common re-arm, a full timeout from now: cancel + after keeps the
+    // timer in the simulator's fixed-delay lane and takes the same FIFO rank
+    // a reschedule would.
+    if (pending != sim::kInvalidEventId) simulator_.cancel(pending);
+    pending = simulator_.after(scenario_->idle_timeout, fire);
+    return;
+  }
   // Re-arming an armed timer moves the pending event (the stored closure is
   // identical); only a disarmed gateway needs a fresh one.
   if (pending != sim::kInvalidEventId && simulator_.reschedule(pending, when)) return;
-  pending = simulator_.at(when, [this, gateway] {
-    idle_events_[static_cast<std::size_t>(gateway)] = sim::kInvalidEventId;
-    idle_check(gateway);
-  });
+  pending = simulator_.at(when, fire);
 }
 
 void AccessRuntime::idle_check(int gateway) {
@@ -233,11 +237,7 @@ void AccessRuntime::idle_check(int gateway) {
   // completion handler re-arms the timer exactly when the last flow ends.
   const double when = has_flows ? simulator_.now() + scenario_->idle_timeout
                                 : reference + scenario_->idle_timeout;
-  auto& pending = idle_events_[static_cast<std::size_t>(gateway)];
-  pending = simulator_.at(std::max(when, simulator_.now() + 1e-9), [this, gateway] {
-    idle_events_[static_cast<std::size_t>(gateway)] = sim::kInvalidEventId;
-    idle_check(gateway);
-  });
+  set_idle_timer(gateway, std::max(when, simulator_.now() + 1e-9));
 }
 
 void AccessRuntime::repack_dslam() {

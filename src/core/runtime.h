@@ -129,8 +129,12 @@ class AccessRuntime {
   const ScenarioConfig& scenario() const { return *scenario_; }
   sim::Random& rng() { return rng_; }
 
-  GatewayState gateway_state(int gateway) const;
-  bool gateway_active(int gateway) const;
+  GatewayState gateway_state(int gateway) const {
+    return states_.at(static_cast<std::size_t>(gateway));
+  }
+  bool gateway_active(int gateway) const {
+    return gateway_state(gateway) == GatewayState::kActive;
+  }
 
   /// Number of gateways that are awake (active or waking).
   int online_gateway_count() const;
@@ -171,6 +175,9 @@ class AccessRuntime {
 
   /// (Re)schedules the SoI idle check for an active gateway.
   void arm_idle_check(int gateway);
+
+  /// Points the gateway's idle timer at absolute time `when`.
+  void set_idle_timer(int gateway, double when);
 
   /// Fires when a gateway may have been idle long enough to sleep.
   void idle_check(int gateway);

@@ -28,15 +28,14 @@ void FluidNetwork::set_completion_handler(std::function<void(const CompletedFlow
 }
 
 void FluidNetwork::reserve_flows(std::size_t flow_count) {
-  flows_.reserve(flow_count);
-  id_to_index_.reserve(flow_count);
+  if (id_to_index_.size() < flow_count) id_to_index_.resize(flow_count, kNoIndex);
 }
 
-FluidNetwork::GatewayState& FluidNetwork::gateway(int g) {
+FluidNetwork::GatewayState& FluidNetwork::checked_gateway(int g) {
   return gateways_.at(static_cast<std::size_t>(g));
 }
 
-const FluidNetwork::GatewayState& FluidNetwork::gateway(int g) const {
+const FluidNetwork::GatewayState& FluidNetwork::checked_gateway(int g) const {
   return gateways_.at(static_cast<std::size_t>(g));
 }
 
@@ -45,7 +44,7 @@ bool FluidNetwork::dense_id(FlowId id) const {
   // flows actually added; a far outlier (sparse trace id) must not make it
   // balloon.
   if (id < id_to_index_.size()) return true;
-  const std::size_t ceiling = std::max<std::size_t>(1024, 4 * (flows_.size() + 1));
+  const std::size_t ceiling = std::max<std::size_t>(1024, 4 * (flows_added_ + 1));
   return id < ceiling;
 }
 
@@ -61,7 +60,11 @@ std::size_t FluidNetwork::find_index(FlowId id) const {
 
 void FluidNetwork::store_index(FlowId id, std::size_t index) {
   if (dense_id(id)) {
-    if (id_to_index_.size() <= id) id_to_index_.resize(id + 1, kNoIndex);
+    // Geometric growth: an unreserved replay (live mode) resizes a few
+    // times a day, not once per arrival.
+    if (id_to_index_.size() <= id) {
+      id_to_index_.resize(std::max<std::size_t>(id + 1, 2 * id_to_index_.size()), kNoIndex);
+    }
     id_to_index_[id] = index;
   } else {
     id_overflow_[id] = index;
@@ -106,6 +109,7 @@ void FluidNetwork::add_flow(FlowId id, int client, int gateway_id, double bytes,
                             double wireless_cap) {
   util::require(bytes >= 0.0 && wireless_cap > 0.0,
                 "flows need non-negative bytes and a positive wireless cap");
+  GatewayState& gw = checked_gateway(gateway_id);
   advance(gateway_id);
 
   FlowState state;
@@ -117,7 +121,6 @@ void FluidNetwork::add_flow(FlowId id, int client, int gateway_id, double bytes,
   state.remaining_bits = bytes * 8.0;
   state.wireless_cap = wireless_cap;
 
-  GatewayState& gw = gateway(gateway_id);
   gw.last_activity = simulator_->now();
 
   if (state.remaining_bits <= kEpsilonBits) {
@@ -129,23 +132,34 @@ void FluidNetwork::add_flow(FlowId id, int client, int gateway_id, double bytes,
   }
 
   util::require(find_index(id) == kNoIndex, "duplicate flow id");
-  store_index(id, flows_.size());
-  flows_.push_back(state);
-  gw.flows.push_back(flows_.size() - 1);
-  insert_sorted(gw, flows_.size() - 1, wireless_cap, gw.next_cap_seq++);
+  std::size_t index = flows_.size();
+  if (free_slots_.empty()) {
+    flows_.push_back(state);
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+    flows_[index] = state;
+  }
+  store_index(id, index);
+  ++flows_added_;
+  gw.flows.push_back(index);
+  insert_sorted(gw, index, wireless_cap, gw.next_cap_seq++);
   ++live_flows_;
   reallocate(gateway_id);
 }
 
 void FluidNetwork::migrate_flow(FlowId id, int new_gateway, double new_wireless_cap) {
   util::require(new_wireless_cap > 0.0, "migrated flow needs a positive wireless cap");
+  checked_gateway(new_gateway);
   const std::size_t index = find_index(id);
-  if (index == kNoIndex) return;
-  if (flows_[index].done) return;
+  if (index == kNoIndex || flows_[index].done) return;
+  // A flow that completes during advance() loses its id mapping once its
+  // callback ran, and its slot may be recycled by a later callback.
+  const auto still_live = [&] { return find_index(id) == index && !flows_[index].done; };
   const int old_gateway = flows_[index].gateway;
   if (old_gateway == new_gateway) {
     advance(old_gateway);
-    if (!flows_[index].done) {
+    if (still_live()) {
       // Re-seat the flow in the cap order under its original stamp: a cap
       // change must not alter its FIFO rank among equal caps.
       GatewayState& gw = gateway(old_gateway);
@@ -159,7 +173,7 @@ void FluidNetwork::migrate_flow(FlowId id, int new_gateway, double new_wireless_
   advance(old_gateway);
   advance(new_gateway);
   // The flow may have completed during advance(old_gateway).
-  if (flows_[index].done) return;
+  if (!still_live()) return;
 
   GatewayState& old_gw = gateway(old_gateway);
   auto& old_list = old_gw.flows;
@@ -175,7 +189,7 @@ void FluidNetwork::migrate_flow(FlowId id, int new_gateway, double new_wireless_
 }
 
 void FluidNetwork::set_gateway_serving(int gateway_id, bool serving) {
-  GatewayState& gw = gateway(gateway_id);
+  GatewayState& gw = checked_gateway(gateway_id);
   if (gw.serving == serving) return;
   advance(gateway_id);
   gw.serving = serving;
@@ -183,16 +197,16 @@ void FluidNetwork::set_gateway_serving(int gateway_id, bool serving) {
 }
 
 bool FluidNetwork::gateway_serving(int gateway_id) const {
-  return gateway(gateway_id).serving;
+  return checked_gateway(gateway_id).serving;
 }
 
 int FluidNetwork::active_flow_count(int gateway_id) const {
-  return static_cast<int>(gateway(gateway_id).flows.size());
+  return static_cast<int>(checked_gateway(gateway_id).flows.size());
 }
 
 int FluidNetwork::client_flow_count_at(int client, int gateway_id) const {
   int count = 0;
-  for (std::size_t index : gateway(gateway_id).flows) {
+  for (std::size_t index : checked_gateway(gateway_id).flows) {
     if (flows_[index].client == client) ++count;
   }
   return count;
@@ -200,23 +214,23 @@ int FluidNetwork::client_flow_count_at(int client, int gateway_id) const {
 
 double FluidNetwork::client_throughput_at(int client, int gateway_id) const {
   double total = 0.0;
-  for (std::size_t index : gateway(gateway_id).flows) {
+  for (std::size_t index : checked_gateway(gateway_id).flows) {
     if (flows_[index].client == client) total += flows_[index].rate;
   }
   return total;
 }
 
 double FluidNetwork::gateway_throughput(int gateway_id) const {
-  return gateway(gateway_id).throughput;
+  return checked_gateway(gateway_id).throughput;
 }
 
 double FluidNetwork::served_bits(int gateway_id, double t0, double t1) const {
-  return gateway(gateway_id).served.integral(t0, t1);
+  return checked_gateway(gateway_id).served.integral(t0, t1);
 }
 
 double FluidNetwork::load(int gateway_id, double window) const {
   util::require(window > 0.0, "load needs a positive window");
-  const GatewayState& gw = gateway(gateway_id);
+  const GatewayState& gw = checked_gateway(gateway_id);
   const double t1 = simulator_->now();
   const double t0 = std::max(t1 - window, 0.0);
   if (t1 <= t0) return 0.0;
@@ -237,7 +251,7 @@ double FluidNetwork::load(int gateway_id, double window) const {
 }
 
 double FluidNetwork::last_activity(int gateway_id) const {
-  return gateway(gateway_id).last_activity;
+  return checked_gateway(gateway_id).last_activity;
 }
 
 void FluidNetwork::advance(int gateway_id) {
@@ -283,6 +297,8 @@ void FluidNetwork::advance(int gateway_id) {
     if (on_complete_) {
       on_complete_({f.id, f.client, f.gateway, f.arrival_time, now, f.bytes});
     }
+    // Recycled only once its callback has returned.
+    free_slots_.push_back(index);
   }
   // Hand the warm buffer back for the next advance() on this gateway.
   finished.clear();

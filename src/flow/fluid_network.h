@@ -60,8 +60,9 @@ class FluidNetwork {
   void set_completion_handler(std::function<void(const CompletedFlow&)> handler);
 
   /// Capacity hint: the caller expects about `flow_count` add_flow calls
-  /// with dense ids. Pre-sizes the flow store so the replay loop does not
-  /// pay for incremental growth.
+  /// with dense ids. Pre-sizes the id map so the replay loop does not pay
+  /// for incremental growth (the flow store recycles slots and holds only
+  /// live flows).
   void reserve_flows(std::size_t flow_count);
 
   /// Starts a flow of `bytes` for `client` via `gateway`, throttled to at
@@ -168,8 +169,11 @@ class FluidNetwork {
         : backhaul(rate), last_progress(start), served(start, 0.0), last_activity(start) {}
   };
 
-  GatewayState& gateway(int g);
-  const GatewayState& gateway(int g) const;
+  /// Bounds-checked access for the public entry points; the internal hot
+  /// paths (advance, reallocate) index with gateway().
+  GatewayState& checked_gateway(int g);
+  const GatewayState& checked_gateway(int g) const;
+  GatewayState& gateway(int g) { return gateways_[static_cast<std::size_t>(g)]; }
 
   // --- FlowId -> flows_ index map ----------------------------------------
   // Dense ids (the trace replay uses the trace index) live in a flat
@@ -198,7 +202,9 @@ class FluidNetwork {
 
   sim::Simulator* simulator_;
   std::vector<GatewayState> gateways_;
-  std::vector<FlowState> flows_;                       // all flows ever added
+  std::vector<FlowState> flows_;         // live flows plus recycled slots
+  std::vector<std::size_t> free_slots_;  // flows_ slots free for reuse
+  std::size_t flows_added_ = 0;          // add_flow calls that stored a flow
   std::vector<std::size_t> id_to_index_;               // dense FlowId -> flows_ index
   std::unordered_map<FlowId, std::size_t> id_overflow_;  // sparse outlier ids
   std::function<void(const CompletedFlow&)> on_complete_;

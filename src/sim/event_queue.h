@@ -1,14 +1,27 @@
 // A cancellable discrete-event queue built for allocation-free steady
 // state. Scheduled events live in a vector-backed slot pool recycled
-// through a free list; the ordering structure is an index-tracked 4-ary
-// min-heap of (time, sequence, slot) triples, so cancel and reschedule
-// move the node in place — the heap never carries dead entries and
-// next_time() is a single array read. EventIds encode (slot, generation):
-// a stale handle — one whose slot has been fired, cancelled and reused —
-// is recognised and rejected in O(1) without any per-event hash-set
-// bookkeeping.
+// through a free list; they are ordered by a (time, sequence) key kept in
+// one of two kinds of structure:
+//
+//  * an index-tracked 4-ary min-heap of (time, sequence, slot) triples, for
+//    arbitrary times — cancel and reschedule move the node in place, so the
+//    heap never carries dead entries;
+//  * a few FIFO lanes, each keyed by one exact delay, for events scheduled
+//    with after(now, delay). Successive appends to a lane carry a growing
+//    sequence and, because simulated time never runs backwards and
+//    fl(now + d) is monotone in now, a non-decreasing time: the lane stays
+//    in key order without a single comparison. Fixed-delay timers (periodic
+//    decisions, idle and wake timers) therefore never touch the heap.
+//
+// The earliest live event is the least key among the heap top and the lane
+// fronts. Cancelling a lane event leaves a tombstone that is dropped when it
+// reaches the lane front (lane fronts are always live, so next_time() never
+// reports a cancelled event). EventIds encode (slot, generation): a stale
+// handle — one whose slot has been fired, cancelled and reused — is
+// recognised and rejected in O(1).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -22,32 +35,51 @@ using EventId = std::uint64_t;
 /// Sentinel meaning "no event".
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Min-heap of timed callbacks with stable FIFO ordering among equal times.
+/// Timed callbacks with stable FIFO ordering among equal times.
 class EventQueue {
  public:
+  /// Ordering key of a pending event: events fire in ascending (time,
+  /// sequence) order; `sequence` is the FIFO rank among equal times.
+  struct Key {
+    double time;
+    std::uint64_t sequence;
+  };
+
   /// Schedules `action` at absolute time `t`; returns a cancellation handle.
-  EventId schedule(double t, std::function<void()> action);
+  EventId schedule(double t, std::function<void()>&& action);
+
+  /// Schedules `action` at `now + delay`. Same ordering as
+  /// schedule(now + delay, action); events sharing an exact delay queue in
+  /// a FIFO lane instead of the heap. An append that would break the lane's
+  /// order (a `now` earlier than the lane's last append) or finds no lane
+  /// for its delay falls back to the heap.
+  EventId after(double now, double delay, std::function<void()>&& action);
 
   /// Cancels a pending event. Returns true if the event existed and had not
   /// yet fired; cancelling an already-fired or invalid id returns false.
-  /// The entry leaves the heap immediately: next_time() never reports a
-  /// cancelled event's time, even when the minimum is cancelled.
+  /// next_time() never reports a cancelled event's time, even when the
+  /// minimum is cancelled.
   bool cancel(EventId id);
 
   /// Moves a pending event to absolute time `t`, keeping its stored closure
   /// (no allocation, no handle change). Ordering is as if the event were
   /// cancelled and rescheduled: among equal times it fires after everything
-  /// already queued. Returns false if `id` is not pending.
+  /// already queued. A lane event moves to the heap. Returns false if `id`
+  /// is not pending.
   bool reschedule(EventId id, double t);
 
   /// True if `id` is scheduled and not yet fired or cancelled.
   bool is_pending(EventId id) const { return lookup(id) != nullptr; }
 
   /// True if no live events remain.
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return live_ == 0; }
 
   /// Number of live (non-cancelled, unfired) events.
-  std::size_t size() const { return heap_.size(); }
+  std::size_t size() const { return live_; }
+
+  /// Key of the earliest live event, or nullptr when empty. Valid until the
+  /// queue is next modified.
+  const Key* peek() const;
 
   /// Time of the earliest live event; requires !empty().
   double next_time() const;
@@ -68,24 +100,47 @@ class EventQueue {
   double run_next();
 
  private:
+  /// Where a pending event's key lives: the heap, or a lane index.
+  static constexpr std::uint8_t kInHeap = 0xff;
+  /// front_ value while the earliest event's source is not known.
+  static constexpr std::uint8_t kFrontUnknown = 0xfe;
+  /// Lanes beside the heap. A day uses at most three distinct fixed delays
+  /// (decision period, idle timeout = wake time, a scan period); a fourth
+  /// lane leaves room to re-key without evicting a busy one.
+  static constexpr std::size_t kLaneCount = 4;
+
   /// One pool slot. `generation` advances every time the slot is freed so
-  /// stale EventIds stop matching once the slot is reused; `heap_index` is
-  /// the position of the slot's node in heap_ while the event is pending.
+  /// stale EventIds stop matching once the slot is reused. `sequence` is the
+  /// pending event's current rank: a lane node whose rank no longer matches
+  /// its slot is a tombstone. `heap_index` is the slot's heap position while
+  /// `where` == kInHeap.
   struct Slot {
     std::function<void()> action;
+    std::uint64_t sequence = 0;
     std::uint32_t generation = 1;
-    bool live = false;
     std::uint32_t heap_index = 0;
     std::uint32_t next_free = kNoSlot;
+    bool live = false;
+    std::uint8_t where = kInHeap;
   };
 
-  /// Heap node; 24 bytes, moved freely without touching the closures.
-  /// `sequence` makes the (time, sequence) key unique and FIFO among equal
-  /// times.
-  struct Node {
-    double time;
-    std::uint64_t sequence;
+  /// Heap or lane node; 24 bytes, moved freely without touching the
+  /// closures.
+  struct Node : Key {
     std::uint32_t slot;
+  };
+
+  /// FIFO of nodes sharing one delay, in key order. Popped nodes are
+  /// reclaimed by shifting the live tail down once they make up half the
+  /// buffer, so a lane that never drains still reuses its capacity.
+  struct Lane {
+    double delay = 0.0;
+    std::vector<Node> nodes;
+    std::size_t head = 0;
+
+    bool empty() const { return head == nodes.size(); }
+    const Node& front() const { return nodes[head]; }
+    void pop_front();
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -97,7 +152,7 @@ class EventQueue {
     return (static_cast<EventId>(slot) << 32) | generation;
   }
 
-  static bool earlier(const Node& a, const Node& b) {
+  static bool earlier(const Key& a, const Key& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.sequence < b.sequence;
   }
@@ -106,11 +161,29 @@ class EventQueue {
   const Slot* lookup(EventId id) const;
   Slot* lookup(EventId id);
 
-  /// Claims a pool slot (free list first) and returns its index.
-  std::uint32_t acquire_slot();
+  /// Claims a pool slot (free list first), marks it live with `action` and
+  /// a fresh rank, and returns its index.
+  std::uint32_t acquire_slot(std::function<void()>&& action);
 
   /// Marks a slot dead and recycles it onto the free list.
   void release_slot(std::uint32_t slot);
+
+  /// Lane that takes an append of `t` for `delay`, re-keying an empty lane
+  /// if no lane holds `delay`; nullptr sends the event to the heap.
+  Lane* lane_for(double delay, double t);
+
+  /// Pops tombstones off `lane`'s front until it is empty or live.
+  void trim(Lane& lane);
+
+  /// Where the earliest live event sits: a lane index or kInHeap;
+  /// requires !empty(). Remembered in front_ until the next mutation, so
+  /// the run loop's peek() and run_next() scan the lanes once per event.
+  std::uint8_t front_source() const;
+
+  /// The node front_source() names.
+  const Node& front_node(std::uint8_t source) const {
+    return source == kInHeap ? heap_.front() : lanes_[source].front();
+  }
 
   /// Writes `node` at heap position `index` and records the position.
   void place(std::size_t index, const Node& node) {
@@ -128,6 +201,9 @@ class EventQueue {
 
   std::vector<Slot> slots_;
   std::vector<Node> heap_;
+  std::array<Lane, kLaneCount> lanes_;
+  mutable std::uint8_t front_ = kFrontUnknown;
+  std::size_t live_ = 0;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_sequence_ = 0;
 };

@@ -45,13 +45,22 @@ double Random::lognormal(double mu, double sigma) {
 }
 
 double Random::bounded_pareto(double alpha, double lo, double hi) {
+  return BoundedPareto(alpha, lo, hi)(*this);
+}
+
+BoundedPareto::BoundedPareto(double alpha, double lo, double hi) {
   util::require(alpha > 0.0 && lo > 0.0 && hi > lo, "bounded_pareto needs alpha>0, hi>lo>0");
+  lo_alpha_ = std::pow(lo, alpha);
+  hi_alpha_ = std::pow(hi, alpha);
+  neg_inv_alpha_ = -1.0 / alpha;
+}
+
+double BoundedPareto::operator()(Random& rng) const {
   // Inverse-transform sampling of the truncated Pareto CDF.
-  const double u = uniform(0.0, 1.0);
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  const double x = -(u * ha - u * la - ha) / (ha * la);
-  return std::pow(x, -1.0 / alpha);
+  const double u = rng.uniform(0.0, 1.0);
+  const double x =
+      -(u * hi_alpha_ - u * lo_alpha_ - hi_alpha_) / (hi_alpha_ * lo_alpha_);
+  return std::pow(x, neg_inv_alpha_);
 }
 
 int Random::binomial(int n, double p) {

@@ -94,4 +94,19 @@ class Random {
   std::uint64_t seed_;
 };
 
+/// Bounded Pareto on [lo, hi] with tail exponent alpha (> 0), its powers
+/// precomputed for repeated draws. Each draw is bit-identical to
+/// Random::bounded_pareto(alpha, lo, hi) — the powers are pure functions of
+/// the constants — and consumes the same single uniform.
+class BoundedPareto {
+ public:
+  BoundedPareto(double alpha, double lo, double hi);
+  double operator()(Random& rng) const;
+
+ private:
+  double lo_alpha_;       ///< lo^alpha
+  double hi_alpha_;       ///< hi^alpha
+  double neg_inv_alpha_;  ///< -1 / alpha
+};
+
 }  // namespace insomnia::sim

@@ -38,7 +38,7 @@ bool Simulator::reschedule(EventId id, double t) {
 
 EventId Simulator::after(double delay, std::function<void()> action) {
   util::require(delay >= 0.0, "Simulator::after needs delay >= 0");
-  return queue_.schedule(now_ + delay, std::move(action));
+  return queue_.after(now_, delay, std::move(action));
 }
 
 void Simulator::run_until(double end_time, EventStream* stream) {
@@ -55,15 +55,14 @@ bool Simulator::run_loop(double end_time, EventStream* stream, bool gated) {
   OBS_SCOPE("sim.run_until");
   const std::uint64_t executed_before = executed_;
   while (true) {
-    const bool queued = !queue_.empty();
-    const double tq = queued ? queue_.next_time() : 0.0;
+    const EventQueue::Key* head = queue_.peek();
     const double ts =
         stream != nullptr ? stream->next_time() : std::numeric_limits<double>::infinity();
     const bool stream_first =
-        std::isfinite(ts) &&
-        (!queued || ts < tq || (ts == tq && stream->next_rank() < queue_.next_sequence()));
-    if (!stream_first && !queued) break;
-    const double t = stream_first ? ts : tq;
+        std::isfinite(ts) && (head == nullptr || ts < head->time ||
+                              (ts == head->time && stream->next_rank() < head->sequence));
+    if (!stream_first && head == nullptr) break;
+    const double t = stream_first ? ts : head->time;
     if (t > end_time) break;
     // The gate sits at the point of no return: everything that would run
     // before the head has run, the head was about to fire. Pausing here

@@ -54,7 +54,9 @@ class Simulator {
   /// Schedules `action` at absolute time `t` (>= now).
   EventId at(double t, std::function<void()> action);
 
-  /// Schedules `action` `delay` seconds from now (delay >= 0).
+  /// Schedules `action` `delay` seconds from now (delay >= 0). Fixed-delay
+  /// timers should use this rather than at(now() + delay): events sharing a
+  /// delay queue in a FIFO lane beside the heap (same firing order).
   EventId after(double delay, std::function<void()> action);
 
   /// Cancels a pending event; returns true if it was still pending.

@@ -9,6 +9,14 @@
 
 namespace insomnia::trace {
 
+/// Stable sort of `flows` by start_time, every one of which must lie in
+/// [0, duration): a bucket pass — a stable scatter into 256 equal-width time
+/// buckets, then one into about one fine bucket per record inside each —
+/// and a final insertion sort that only meets the few inversions left inside
+/// fine buckets. Returns an exact-size trace equal to std::stable_sort by
+/// start_time, in O(n) for the near-uniform times of a generated day.
+FlowTrace sort_by_start_time(const FlowTrace& flows, double duration);
+
 /// Cuts [start, end) out of `flows` and re-bases timestamps to 0.
 FlowTrace window_trace(const FlowTrace& flows, double start, double end);
 

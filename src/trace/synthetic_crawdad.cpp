@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "trace/flow_ops.h"
 #include "util/error.h"
 
 namespace insomnia::trace {
@@ -12,23 +13,24 @@ constexpr double kPacketBytes = 1500.0;
 }  // namespace
 
 SyntheticCrawdadGenerator::SyntheticCrawdadGenerator(SyntheticTraceConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      // Validates 0 < flow_size_min < flow_size_max and flow_size_alpha > 0.
+      flow_size_(config_.flow_size_alpha, config_.flow_size_min, config_.flow_size_max) {
   util::require(config_.client_count > 0, "trace needs at least one client");
   util::require(config_.duration > 0.0, "trace duration must be positive");
-  util::require(config_.flow_size_max > config_.flow_size_min &&
-                    config_.flow_size_min > 0.0,
-                "flow size bounds must satisfy 0 < min < max");
 }
 
 FlowTrace SyntheticCrawdadGenerator::generate(sim::Random& rng) const {
-  FlowTrace flows;
+  // Records come out client by client into a per-thread buffer that keeps
+  // its capacity across days; one bucket pass orders them into an
+  // exact-size trace.
+  thread_local FlowTrace unsorted;
+  unsorted.clear();
   for (int client = 0; client < config_.client_count; ++client) {
     const bool always_on = rng.bernoulli(config_.always_on_fraction);
-    generate_client(client, always_on, rng, flows);
+    generate_client(client, always_on, rng, unsorted);
   }
-  std::sort(flows.begin(), flows.end(),
-            [](const FlowRecord& a, const FlowRecord& b) { return a.start_time < b.start_time; });
-  return flows;
+  return sort_by_start_time(unsorted, config_.duration);
 }
 
 void SyntheticCrawdadGenerator::generate_client(int client, bool always_on, sim::Random& rng,
@@ -62,9 +64,7 @@ void SyntheticCrawdadGenerator::generate_session(int client, double start, doubl
   // Web-like transfers.
   double t = start + rng.exponential(flow_gap);
   while (t < end) {
-    out.push_back({t, client,
-                   rng.bounded_pareto(config_.flow_size_alpha, config_.flow_size_min,
-                                      config_.flow_size_max)});
+    out.push_back({t, client, flow_size_(rng)});
     t += rng.exponential(flow_gap);
   }
   // Keep-alive / presence traffic: small but continuous.

@@ -71,9 +71,9 @@ class SyntheticCrawdadGenerator {
  public:
   explicit SyntheticCrawdadGenerator(SyntheticTraceConfig config);
 
-  /// Generates the full-day flow trace (sorted by start time). Keep-alives
-  /// appear as small flows — they are traffic and reset idle timers, which
-  /// is precisely the phenomenon under study.
+  /// Generates the full-day flow trace (sorted by start time, exact size).
+  /// Keep-alives appear as small flows — they are traffic and reset idle
+  /// timers, which is precisely the phenomenon under study.
   FlowTrace generate(sim::Random& rng) const;
 
   /// Expands a flow trace into a packet trace: each flow is emitted as
@@ -94,6 +94,8 @@ class SyntheticCrawdadGenerator {
                         sim::Random& rng, FlowTrace& out) const;
 
   SyntheticTraceConfig config_;
+  /// Web-transfer sizes; the Pareto powers are computed once, here.
+  sim::BoundedPareto flow_size_;
 };
 
 }  // namespace insomnia::trace

@@ -16,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include "bh2/algorithm.h"
 #include "flow/fluid_network.h"
 #include "sim/event_queue.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -124,6 +126,75 @@ TEST(HotPathAllocations, EventQueueScheduleRunCancelRescheduleIsAllocationFree) 
   const long allocations = window.count();
   EXPECT_EQ(allocations, 0) << "steady-state EventQueue traffic must not allocate";
   EXPECT_GT(fired, 0);
+}
+
+/// Periodic timers on three delays (the shape of BH2 epochs, idle and wake
+/// timers), re-armed through Simulator::after; every fourth firing also
+/// cancels and re-arms another timer, leaving a tombstone in its lane. The
+/// closures capture {this, index} and stay in std::function's inline buffer.
+struct PeriodicTimers {
+  sim::Simulator sim;
+  std::vector<sim::EventId> pending = std::vector<sim::EventId>(30, sim::kInvalidEventId);
+  long fired = 0;
+
+  void arm(std::size_t i) {
+    static constexpr double kDelays[] = {150.0, 60.0, 5.0};
+    pending[i] = sim.after(kDelays[i % 3], [this, i] {
+      ++fired;
+      arm(i);
+      if (fired % 4 == 0) {
+        const std::size_t other = (i + 7) % pending.size();
+        sim.cancel(pending[other]);
+        arm(other);
+      }
+    });
+  }
+};
+
+TEST(HotPathAllocations, FixedDelayLaneTrafficIsAllocationFree) {
+  PeriodicTimers timers;
+  for (std::size_t i = 0; i < timers.pending.size(); ++i) timers.arm(i);
+  timers.sim.run_until(20000.0);  // warm-up: lanes and slot pool reach working size
+
+  AllocationWindow window;
+  const long before = timers.fired;
+  timers.sim.run_until(60000.0);
+  const long allocations = window.count();
+  EXPECT_EQ(allocations, 0) << "steady after() lane traffic must not allocate";
+  EXPECT_GT(timers.fired - before, 10000);
+}
+
+TEST(HotPathAllocations, WarmBh2DecisionEpochIsAllocationFree) {
+  // A terminal with five gateways in range, decided over by both §3.1
+  // cases (home and remote, the overload escape included) and the wake
+  // reroute, through one reused Scratch.
+  class Observer : public bh2::GatewayObserver {
+   public:
+    double load(int gateway) const override { return loads[static_cast<std::size_t>(gateway)]; }
+    bool is_awake(int gateway) const override { return gateway != 4; }
+    std::vector<double> loads{0.0, 0.2, 0.05, 0.6, 0.0};
+  };
+  const Observer observer;
+  const std::vector<int> reachable{0, 1, 2, 3, 4};
+  const bh2::Bh2Config config;
+  sim::Random rng(9);
+  bh2::Scratch scratch;
+  int moves = 0;
+  const auto epoch = [&] {
+    for (int current : reachable) {
+      const bh2::Decision d =
+          bh2::decide(0, reachable, current, observer, config, rng, 0.0, &scratch);
+      if (d.action == bh2::Action::kMoveTo) ++moves;
+    }
+    moves += bh2::reroute_on_wake_needed(0, reachable, 4, observer, config, rng, &scratch);
+  };
+  epoch();  // warm-up sizes the scratch buffers
+
+  AllocationWindow window;
+  for (int i = 0; i < 1000; ++i) epoch();
+  const long allocations = window.count();
+  EXPECT_EQ(allocations, 0) << "a warm BH2 decision must not allocate";
+  EXPECT_GT(moves, 0);
 }
 
 TEST(FluidNetworkAlloc, SteadyStateStaysAllocationFree) {

@@ -103,6 +103,29 @@ TEST(Random, BoundedParetoIsHeavyTailed) {
   EXPECT_NEAR(static_cast<double>(above_10x_min) / n, 0.099, 0.02);
 }
 
+TEST(Random, BoundedParetoSamplerMatchesPerDrawFormula) {
+  // Volatile inputs keep the compiler from folding the powers at compile
+  // time: both sides must use the runtime pow, as the generator does.
+  volatile double alpha = 1.12;
+  volatile double lo = 1.5e5;
+  volatile double hi = 1.2e8;
+  const BoundedPareto sampler(alpha, lo, hi);
+  Random hoisted(2024);
+  Random per_draw(2024);
+  Random formula(2024);
+  for (int i = 0; i < 100000; ++i) {
+    const double x = sampler(hoisted);
+    EXPECT_EQ(x, per_draw.bounded_pareto(alpha, lo, hi)) << "draw " << i;
+    // The historical per-draw computation, powers recomputed every time.
+    const double u = formula.uniform(0.0, 1.0);
+    const double la = std::pow(lo, alpha);
+    const double ha = std::pow(hi, alpha);
+    EXPECT_EQ(x, std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha)) << "draw " << i;
+  }
+  EXPECT_THROW(BoundedPareto(0.0, 1.0, 2.0), util::InvalidArgument);
+  EXPECT_THROW(BoundedPareto(-1.0, 1.0, 2.0), util::InvalidArgument);
+}
+
 TEST(Random, PoissonMean) {
   Random rng(29);
   long sum = 0;

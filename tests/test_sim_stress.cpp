@@ -1,6 +1,9 @@
 // Model-based stress tests: the event queue against a reference
-// implementation (sorted multimap), under random schedule/cancel/
-// reschedule/allocate_sequence/run interleavings.
+// implementation (an ordered map keyed by (time, sequence)), under random
+// schedule/after/cancel/reschedule/allocate_sequence/run interleavings.
+// `after` draws from more distinct delays than the queue has FIFO lanes, so
+// lanes are re-keyed once drained and busy delays fall back to the heap;
+// an occasional stale `now` forces the out-of-order fallback too.
 //
 // The reference counts FIFO ranks exactly like the real queue — schedule,
 // reschedule and allocate_sequence each consume one rank — so the model
@@ -29,6 +32,7 @@ namespace {
 /// two structures must agree on `next_sequence()` exactly.
 class ReferenceQueue {
  public:
+  EventId after(double now, double delay) { return schedule(now + delay); }
   EventId schedule(double t) {
     const EventId id = next_id_++;
     entries_.emplace(std::make_pair(t, sequence_++), id);
@@ -80,28 +84,46 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
   std::vector<std::pair<EventId, EventId>> live;  // (queue id, reference id)
   std::vector<EventId> dead;
   EventId last_fired = 0;
+  // The clock: the last fired time, as Simulator::after would pass it.
+  // Delays and offsets are multiples of 0.5, so equal times are common.
+  double now = 0.0;
+  const double delays[] = {0.0, 0.5, 2.0, 3.5, 7.0, 60.0};
 
   const auto check_heads = [&] {
     ASSERT_EQ(queue.empty(), reference.empty());
     ASSERT_EQ(queue.size(), live.size());
+    ASSERT_EQ(queue.peek() == nullptr, reference.empty());
     if (!queue.empty()) {
       const auto [ref_t, ref_seq] = reference.peek_key();
       ASSERT_EQ(queue.next_time(), ref_t);
       ASSERT_EQ(queue.next_sequence(), ref_seq) << "FIFO rank divergence at the head";
+      ASSERT_EQ(queue.peek()->time, ref_t);
+      ASSERT_EQ(queue.peek()->sequence, ref_seq);
     }
   };
 
-  for (int step = 0; step < 4000; ++step) {
-    const int op = rng.uniform_int(0, 12);
-    if (op < 5) {
-      // Schedule. Times are drawn coarse so ties are common.
-      const double t = static_cast<double>(rng.uniform_int(0, 50));
+  for (int step = 0; step < 6000; ++step) {
+    const int op = rng.uniform_int(0, 15);
+    if (op < 3) {
+      // Schedule at an absolute time, drawn coarse so ties are common.
+      const double t = now + 0.5 * static_cast<double>(rng.uniform_int(0, 40));
       const EventId ref_id = reference.schedule(t);
       const EventId id = queue.schedule(t, [&last_fired, ref_id] { last_fired = ref_id; });
       ASSERT_NE(id, kInvalidEventId);
       ASSERT_TRUE(queue.is_pending(id));
       live.emplace_back(id, ref_id);
-    } else if (op < 7 && !live.empty()) {
+    } else if (op < 7) {
+      // Fixed-delay timer; now and then from a clock behind the lane's
+      // last append, which must take the heap.
+      const double delay = delays[rng.uniform_int(0, 5)];
+      const double from = rng.bernoulli(0.05) ? now - 3.0 : now;
+      const EventId ref_id = reference.after(from, delay);
+      const EventId id =
+          queue.after(from, delay, [&last_fired, ref_id] { last_fired = ref_id; });
+      ASSERT_NE(id, kInvalidEventId);
+      ASSERT_TRUE(queue.is_pending(id));
+      live.emplace_back(id, ref_id);
+    } else if (op < 9 && !live.empty()) {
       // Cancel a random live id.
       const std::size_t pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(live.size()) - 1));
@@ -111,21 +133,21 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
       ASSERT_EQ(a, b) << "cancel divergence on id " << id;
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
       dead.push_back(id);
-    } else if (op < 9 && !live.empty()) {
+    } else if (op < 11 && !live.empty()) {
       // Reschedule a random live id to a new (often tied) time. The closure
       // stays; the event must take a fresh FIFO rank in both structures.
       const std::size_t pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(live.size()) - 1));
       const auto [id, ref_id] = live[pick];
-      const double t = static_cast<double>(rng.uniform_int(0, 50));
+      const double t = now + 0.5 * static_cast<double>(rng.uniform_int(0, 40));
       ASSERT_TRUE(queue.reschedule(id, t));
       ASSERT_TRUE(reference.reschedule(ref_id, t));
       ASSERT_TRUE(queue.is_pending(id));
-    } else if (op == 9) {
+    } else if (op == 11) {
       // Interleaved external stream rank: both counters burn one rank and
       // must hand out the same number.
       ASSERT_EQ(queue.allocate_sequence(), reference.allocate_sequence());
-    } else if (op == 10 && !dead.empty()) {
+    } else if (op == 12 && !dead.empty()) {
       // Stale-handle probe: a retired id must stay invisible even after its
       // slot was recycled by later schedules (generation stamp check).
       const EventId stale = dead[static_cast<std::size_t>(
@@ -139,7 +161,8 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
       const auto [ref_t, ref_seq, ref_id] = reference.pop();
       ASSERT_EQ(t, ref_t);
       ASSERT_EQ(queue.next_sequence(), ref_seq);
-      queue.run_next();
+      ASSERT_EQ(queue.run_next(), t);
+      now = t;
       ASSERT_EQ(last_fired, ref_id) << "fired a different event than the reference";
       const auto fired = std::find_if(live.begin(), live.end(),
                                       [ref_id = ref_id](const std::pair<EventId, EventId>& p) {

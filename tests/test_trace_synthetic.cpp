@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scenario_presets.h"
 #include "sim/random.h"
 #include "topology/access_topology.h"
 #include "trace/analysis.h"
+#include "trace/flow_ops.h"
 #include "trace/synthetic_crawdad.h"
 #include "util/error.h"
 #include "util/units.h"
@@ -126,6 +128,39 @@ TEST(SyntheticTrace, DeterministicGivenSeed) {
   }
 }
 
+TEST(SyntheticTrace, BucketPassMatchesStableSortForEveryPreset) {
+  const auto by_time = [](const FlowRecord& a, const FlowRecord& b) {
+    return a.start_time < b.start_time;
+  };
+  const auto expect_bucket_pass_matches = [&](const FlowTrace& input, double duration) {
+    FlowTrace expected = input;
+    std::stable_sort(expected.begin(), expected.end(), by_time);
+    const FlowTrace actual = sort_by_start_time(input, duration);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      ASSERT_EQ(actual[i].start_time, expected[i].start_time) << "record " << i;
+      ASSERT_EQ(actual[i].client, expected[i].client) << "record " << i;
+      ASSERT_EQ(actual[i].bytes, expected[i].bytes) << "record " << i;
+    }
+  };
+  for (const core::ScenarioPreset& preset : core::scenario_presets()) {
+    SCOPED_TRACE(preset.name);
+    const SyntheticTraceConfig& config = preset.scenario.traffic;
+    sim::Random rng(11);
+    FlowTrace day = SyntheticCrawdadGenerator(config).generate(rng);
+    ASSERT_FALSE(day.empty());
+    ASSERT_TRUE(std::is_sorted(day.begin(), day.end(), by_time));
+    // Client-major input, the order the generator emits records in.
+    FlowTrace client_major = day;
+    std::stable_sort(client_major.begin(), client_major.end(),
+                     [](const FlowRecord& a, const FlowRecord& b) { return a.client < b.client; });
+    expect_bucket_pass_matches(client_major, config.duration);
+    // An arbitrary order over the same day's time distribution.
+    rng.shuffle(day);
+    expect_bucket_pass_matches(day, config.duration);
+  }
+}
+
 TEST(SyntheticTrace, AlwaysOnClientsChatterAllNight) {
   SyntheticTraceConfig config;
   config.client_count = 30;
@@ -168,6 +203,9 @@ TEST(SyntheticTrace, ConfigValidation) {
   config = {};
   config.flow_size_min = 10.0;
   config.flow_size_max = 5.0;
+  EXPECT_THROW(SyntheticCrawdadGenerator{config}, util::InvalidArgument);
+  config = {};
+  config.flow_size_alpha = 0.0;
   EXPECT_THROW(SyntheticCrawdadGenerator{config}, util::InvalidArgument);
 }
 
